@@ -15,12 +15,12 @@ redistribution steps of A and B" to implement the ``op()`` modes.
 
 With ``verify=True`` every cross-rank batch travels inside a CRC
 envelope: the sender CRCs each piece's bytes (``zlib.crc32`` — exact,
-magnitude-independent, and an *integer* payload the corruption walker
-cannot flip), the receiver re-CRCs on arrival, and a detection vote
-lets receivers nack corrupted batches back to their sources for a
-bit-identical resend.  A bounded number of resend rounds separates a
-transient wire fault from a persistent one
-(:class:`~repro.ft.errors.CorruptionError`).
+magnitude-independent) and ships them as 4 little-endian bytes per
+piece (a ``bytes`` field the corruption walker cannot flip), the
+receiver re-CRCs on arrival, and a detection vote lets receivers nack
+corrupted batches back to their sources for a bit-identical resend.
+A bounded number of resend rounds separates a transient wire fault
+from a persistent one (:class:`~repro.ft.errors.CorruptionError`).
 """
 
 from __future__ import annotations
@@ -43,17 +43,18 @@ _TAG_REDIST_RESEND = INTERNAL_TAG_BASE + 403
 MAX_RESEND_ROUNDS = 2
 
 
-def _batch_crcs(batch: list[tuple[Rect, np.ndarray]]) -> list[int]:
-    return [zlib.crc32(data.tobytes()) for _rect, data in batch]
+def _batch_crcs(batch: list[tuple[Rect, np.ndarray]]) -> bytes:
+    """The batch's CRC envelope: one little-endian ``uint32`` per piece.
+
+    Fixed width, so the envelope's wire size depends on the piece count
+    only, never on the CRC values.
+    """
+    crcs = [zlib.crc32(data.tobytes()) for _rect, data in batch]
+    return np.array(crcs, dtype="<u4").tobytes()
 
 
-def _batch_bad(envelope: list[int], batch: list[tuple[Rect, np.ndarray]]) -> bool:
-    if len(envelope) != len(batch):
-        return True
-    return any(
-        zlib.crc32(np.ascontiguousarray(data).tobytes()) != crc
-        for crc, (_rect, data) in zip(envelope, batch)
-    )
+def _batch_bad(envelope: bytes, batch: list[tuple[Rect, np.ndarray]]) -> bool:
+    return envelope != _batch_crcs(batch)
 
 
 def _plan_sends(
@@ -100,7 +101,7 @@ def _verify_batches(
     sends: list[list[tuple[Rect, np.ndarray]]],
     send_dsts: list[int],
     recv_sources: list[int],
-    got: dict[int, tuple[list[int], list]],
+    got: dict[int, tuple[bytes, list]],
 ) -> None:
     """CRC-verify received batches; nack and re-request corrupted ones.
 
@@ -236,7 +237,7 @@ def redistribute(
             for req in pending:
                 req.wait()
         else:
-            got: dict[int, tuple[list[int], list]] = {}
+            got: dict[int, tuple[bytes, list]] = {}
             for src_rank in recv_sources:
                 got[src_rank] = comm.recv(source=src_rank, tag=_TAG_REDIST)
             for req in pending:

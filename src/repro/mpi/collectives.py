@@ -276,6 +276,32 @@ def allgather(comm, value: Any) -> list[Any]:
         return [held[(r - rank) % size] for r in range(size)]
 
 
+def allgather_rows(comm, row: np.ndarray) -> np.ndarray:
+    """Bruck allgather of one fixed-shape array row per rank.
+
+    Same rounds, peers, tags and ``allgather.bruck`` label as
+    :func:`allgather`, but the rows travel as raw arrays — round ``h``
+    sends ``min(h, P-h)`` rows, never a pickle — into a preallocated
+    ``(P, *row.shape)`` array.  Returns that array ordered by rank.
+    """
+    size, rank = comm.size, comm.rank
+    held = np.empty((size,) + row.shape, dtype=row.dtype)
+    held[0] = row  # held[i] is the row of rank (rank + i) % size
+    if size == 1:
+        return held
+    with _span(comm, "allgather", algo="allgather.bruck"):
+        h = 1
+        while h < size:
+            cnt = min(h, size - h)
+            dest = (rank - h) % size
+            src = (rank + h) % size
+            held[h:h + cnt] = comm.sendrecv(
+                held[:cnt], dest, src, _TAG_ALLGATHER, _TAG_ALLGATHER
+            )
+            h += cnt
+    return np.roll(held, rank, axis=0)
+
+
 # --------------------------------------------------------------- alltoall -- #
 def alltoall(comm, values: Sequence[Any]) -> list[Any]:
     """Pairwise-exchange alltoall; ``values[r]`` goes to rank ``r``."""

@@ -16,6 +16,7 @@ up as a watchdog :class:`~repro.mpi.errors.DeadlockError`.
 from __future__ import annotations
 
 import contextlib
+import operator
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -25,6 +26,19 @@ from .datatypes import ANY_SOURCE, ANY_TAG, Op, SUM, Status, payload_pack
 from .errors import CommError, RankError, TagError
 from .request import RecvRequest, Request, SendRequest
 from .transport import Transport
+
+_INT32 = np.iinfo(np.int32)
+
+
+def _int32(value: Any, what: str) -> int:
+    """``value`` as a Python int that fits the split wire's ``int32``."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise CommError(f"split {what} must be an integer, got {value!r}") from None
+    if not _INT32.min <= v <= _INT32.max:
+        raise CommError(f"split {what} {v} does not fit in int32")
+    return v
 
 
 class Comm:
@@ -283,17 +297,28 @@ class Comm:
     def split(self, color: int | None, key: int = 0) -> "Comm | None":
         """Partition the communicator by color; order members by key.
 
-        ``color=None`` (MPI's ``MPI_UNDEFINED``) yields ``None``.
-        Collective over the communicator.
+        ``color=None`` (MPI's ``MPI_UNDEFINED``) yields ``None``; any
+        other color must be a non-negative ``int32``, and ``key`` an
+        ``int32`` (:class:`~repro.mpi.errors.CommError` otherwise).
+        Collective over the communicator.  Like ``MPI_Comm_split`` it
+        moves two ints per member: each rank contributes one ``int32``
+        row ``(color, key)`` (``None`` travels as -1) to a Bruck
+        allgather, and a member's rank is its row's position.
         """
+        if color is not None:
+            color = _int32(color, "color")
+            if color < 0:
+                raise CommError(f"split color must be >= 0 or None, got {color}")
+        key = _int32(key, "key")
         self._split_seq += 1
-        triples = _coll.allgather(self, (color, key, self._rank))
+        rows = _coll.allgather_rows(
+            self, np.array([-1 if color is None else color, key], dtype=np.int32)
+        )
         if color is None:
             return None
-        members = sorted(
-            (k, r) for (c, k, r) in triples if c == color
-        )
-        group = tuple(self._group[r] for (_k, r) in members)
+        members = np.flatnonzero(rows[:, 0] == color)
+        members = members[np.lexsort((members, rows[members, 1]))]
+        group = tuple(self._group[r] for r in members.tolist())
         ctx = self._transport.context_for_key(
             (self._ctx, "split", self._split_seq, color)
         )

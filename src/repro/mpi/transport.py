@@ -1100,12 +1100,15 @@ class Transport:
             else:
                 self._mail[(ctx, dst_world)].append(msg)
             self.progress += 1
-            self._cond.notify_all()
             if self.scheduler is not None:
                 # Precise wakeup: only the receiver can be unblocked by
                 # this post.  A *dropped* message readies it too — the
                 # receiver must start charging its timeout/retry clock.
+                # No DES strand ever waits on the condition, so the
+                # broadcast notify is thread-backend only.
                 self.scheduler.wake_recv_locked(dst_world)
+            else:
+                self._cond.notify_all()
         return arrival, seq
 
     def _perturb_flight_locked(
@@ -1470,9 +1473,7 @@ class Transport:
         budget raises :class:`~repro.mpi.errors.RecvTimeoutError`.
         """
         with self._cond:
-            waitdesc = f"recv(src={src_world}, tag={tag}, ctx={ctx})"
             st = self.ranks[dst_world]
-            st.waiting_on = waitdesc
             st.recv_wait = (ctx, src_world, tag)
             try:
                 while True:
@@ -1508,6 +1509,10 @@ class Transport:
                     # is unwound is replay-deterministic.
                     if self.revoked and self._quiescent_locked():
                         raise CommRevokedError(dst_world)
+                    # Described only when about to park: most receives
+                    # match at once and never show up as blocked.
+                    if st.waiting_on is None:
+                        st.waiting_on = f"recv(src={src_world}, tag={tag}, ctx={ctx})"
                     self._wait_locked(dst_world, "recv")
                 self.progress += 1
                 if advance_receiver:

@@ -194,3 +194,37 @@ def test_redistribute_property(m, n, p, seed, transpose):
 
     res = run_spmd(p, f, machine=laptop(), deadlock_timeout=15.0)
     assert all(res.results)
+
+
+class TestCrcEnvelope:
+    def test_envelope_is_four_bytes_per_piece(self):
+        from repro.layout.blocks import Rect
+        from repro.layout.redistribute import _batch_bad, _batch_crcs
+
+        batch = [(Rect(0, 2, 0, 3), dense_random(2, 3, s)) for s in range(5)]
+        env = _batch_crcs(batch)
+        assert isinstance(env, bytes) and len(env) == 4 * len(batch)
+        assert not _batch_bad(env, batch)
+        assert _batch_bad(env[:-4], batch)
+        flipped = [(r, d.copy()) for r, d in batch]
+        flipped[3][1][1, 2] += 1.0
+        assert _batch_bad(env, flipped)
+
+    @pytest.mark.parametrize("backend", ["threads", "des"])
+    def test_verified_wire_bytes_do_not_depend_on_values(self, backend):
+        """A CRC's value must not change the batch's size on the wire."""
+        shape, p = (12, 10), 4
+
+        def f(comm, seed):
+            x = DistMatrix.from_global(
+                comm, BlockRow1D(shape, p), dense_random(*shape, seed)
+            )
+            redistribute(x, Block2D(shape, p, 2, 2), verify=True)
+
+        sent = {
+            tuple(t.phases["redist"].bytes_sent for t in
+                  run_spmd(p, f, args=(seed,), machine=laptop(),
+                           backend=backend).traces)
+            for seed in range(6)
+        }
+        assert len(sent) == 1
